@@ -301,8 +301,9 @@ class StreamingScenario : public Scenario {
 
 // ---------------------------------------------------------------------------
 // masked_secagg: a full Bonawitz-style round — parallel pairwise masking
-// across survivors plus UnmaskSum with dropouts. Dropout rate is a real
-// axis (the default reproduces the legacy last-2-drop-out round).
+// across survivors, then one masked stream (Open -> AbsorbTile -> Finalize)
+// whose Finalize recovers the dropouts' masks. Dropout rate is a real axis
+// (the default reproduces the legacy last-2-drop-out round).
 // ---------------------------------------------------------------------------
 
 class MaskedSecaggScenario : public Scenario {
@@ -369,12 +370,20 @@ class MaskedSecaggScenario : public Scenario {
           masked[i] = std::move(*mi);
         }
       });
-      // Server side: sum + dropout recovery, sharded on the same pool.
-      auto unmasked = failed.load()
-                          ? StatusOr<std::vector<uint64_t>>(
-                                InternalError("masking failed"))
-                          : aggregator->UnmaskSum(masked, survivors, dim, m,
-                                                  &pool);
+      if (failed.load()) {
+        status = InternalError("masking failed");
+        return;
+      }
+      // Server side: one stream absorbs the survivors' tile; Finalize runs
+      // the dropout recovery. Both shard on the same pool.
+      auto stream = aggregator->Open(dim, m, &pool);
+      if (!stream.ok()) {
+        status = stream.status();
+        return;
+      }
+      status = (*stream)->AbsorbTile(survivors, masked);
+      if (!status.ok()) return;
+      auto unmasked = (*stream)->Finalize();
       if (!unmasked.ok()) {
         status = unmasked.status();
         return;

@@ -2,14 +2,15 @@
 // would never fit in memory as a batch, at a modulus where naive uint64
 // accumulation would silently wrap.
 //
-// The batch API (`Aggregate(inputs, m)`) needs every encoded vector
-// resident at once — O(n·d) memory, hopeless for the "millions of users"
-// regime. A streaming session (`Open(dim, m)` -> `Absorb`* -> `Finalize()`)
-// folds each contribution into an O(d) running sum the moment it arrives
-// (O(threads·d) while a tile is absorbed in parallel), so the peak resident
-// footprint is independent of the participant count. All accumulation is
-// exact integer arithmetic mod m, so the streamed sum is bit-identical to
-// the batch sum — verified below against a 128-bit reference.
+// Streams are the only way a SecureAggregator computes its sum. Holding
+// every encoded vector at once would take O(n·d) memory, hopeless for the
+// "millions of users" regime; a streaming session (`Open(dim, m)` ->
+// `Absorb`* -> `Finalize()`) instead folds each contribution into an O(d)
+// running sum the moment it arrives (O(threads·d) while a tile is absorbed
+// in parallel), so the peak resident footprint is independent of the
+// participant count. All accumulation is exact integer arithmetic mod m,
+// so the streamed sum equals the plain modular sum — verified below
+// against a 128-bit reference.
 //
 // Build & run:  ./build/example_streaming_aggregation
 #include <algorithm>

@@ -107,7 +107,6 @@ RuntimeTuning& GlobalTuning() {
 }
 std::atomic<size_t> g_tile_rows_per_thread{kTileRowsPerThread};
 std::atomic<int> g_threads_per_session{0};
-std::atomic<size_t> g_shard_count{1};
 std::atomic<bool> g_env_checked{false};
 
 /// Installs `tuning` into the globals. Caller holds g_tuning_mu.
@@ -117,8 +116,6 @@ void ApplyTuningLocked(const RuntimeTuning& tuning) {
                                std::memory_order_relaxed);
   g_threads_per_session.store(tuning.threads_per_session,
                               std::memory_order_relaxed);
-  g_shard_count.store(tuning.shard_count < 1 ? 1 : tuning.shard_count,
-                      std::memory_order_relaxed);
   // Zero every kernel's crossover, then set the calibrated ones, so a
   // reload never leaves a stale entry from the previous tuning behind.
   for (int i = 0; i < simd::kNumKernelIds; ++i) {
@@ -173,7 +170,6 @@ std::string RuntimeTuningToJson(const RuntimeTuning& tuning) {
   out << "  \"tile_rows_per_thread\": " << tuning.tile_rows_per_thread
       << ",\n";
   out << "  \"threads_per_session\": " << tuning.threads_per_session << ",\n";
-  out << "  \"shard_count\": " << tuning.shard_count << ",\n";
   out << "  \"simd_crossover\": {";
   for (size_t i = 0; i < tuning.simd_crossover.size(); ++i) {
     out << (i == 0 ? "" : ",") << "\n    \""
@@ -223,13 +219,6 @@ StatusOr<RuntimeTuning> ParseRuntimeTuning(const std::string& json) {
             "tuning.json: threads_per_session out of domain [0, 4096]");
       }
       tuning.threads_per_session = static_cast<int>(v);
-    } else if (key == "shard_count") {
-      SMM_ASSIGN_OR_RETURN(const int64_t v, parser.ParseInt());
-      if (v < 1 || v > 4096) {
-        return InvalidArgumentError(
-            "tuning.json: shard_count out of domain [1, 4096]");
-      }
-      tuning.shard_count = static_cast<size_t>(v);
     } else if (key == "simd_crossover") {
       if (!parser.Consume('{')) {
         return InvalidArgumentError(
@@ -319,11 +308,6 @@ int TunedSessionThreads() {
   EnsureEnvChecked();
   const int threads = g_threads_per_session.load(std::memory_order_relaxed);
   return threads > 0 ? threads : ThreadPool::HardwareThreads();
-}
-
-size_t TunedShardCount() {
-  EnsureEnvChecked();
-  return g_shard_count.load(std::memory_order_relaxed);
 }
 
 }  // namespace smm

@@ -38,13 +38,6 @@ struct RuntimeTuning {
   /// 0 = uncalibrated: resolve to ThreadPool::HardwareThreads() as before.
   int threads_per_session = 0;
 
-  /// Shard workers one aggregation round splits its dimension range across
-  /// when the caller asked for the tuned default (shard_count == 0 in
-  /// RunDistributedSum / FlConfig). Default 1 = the unsharded path. Like
-  /// every knob here this is a pure performance dial: the sharded round is
-  /// bit-identical to the unsharded one at any value.
-  size_t shard_count = 1;
-
   /// Per-kernel minimum vector length at which the dispatched SIMD table
   /// beats the scalar reference (kernel name -> length). Below the
   /// crossover the scalar table runs; at or above it, dispatch. Kernels
@@ -99,10 +92,6 @@ size_t TunedTileRowsPerThread();
 /// threads_per_session when one was loaded, else
 /// ThreadPool::HardwareThreads().
 int TunedSessionThreads();
-
-/// Shard workers for a round that asked for the tuned default (>= 1; 1 =
-/// unsharded). Same lock-free cost.
-size_t TunedShardCount();
 
 }  // namespace smm
 

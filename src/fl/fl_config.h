@@ -56,13 +56,6 @@ struct FlConfig {
   /// the trained model bit-identical for every thread count.
   int num_threads = 1;
 
-  /// Dimension-range shard workers per aggregation round. 1 = today's
-  /// single-session path; K > 1 splits each round across K narrower
-  /// per-shard streams stitched back by the coordinator merge; 0 = the
-  /// tuned default (TunedShardCount). A pure performance dial: the sharded
-  /// round is bit-identical to the unsharded one at every K.
-  int shard_count = 1;
-
   /// Aggregation-round failures (deadline expiry, transport loss) the run
   /// tolerates before giving up: a failed round is skipped — no model
   /// update, marked failed in the history — and training continues, because

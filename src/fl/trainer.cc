@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "accounting/binomial_accountant.h"
 #include "accounting/calibration.h"
@@ -14,8 +13,6 @@
 #include "mechanisms/conditional_rounding.h"
 #include "mechanisms/dgm_mechanism.h"
 #include "mechanisms/smm_mechanism.h"
-#include "secagg/shard_plan.h"
-#include "secagg/sharded_coordinator.h"
 
 namespace smm::fl {
 
@@ -68,9 +65,6 @@ StatusOr<std::unique_ptr<FederatedTrainer>> FederatedTrainer::Create(
   if (config.num_threads < 0) {
     return InvalidArgumentError("num_threads must be >= 0");
   }
-  if (config.shard_count < 0) {
-    return InvalidArgumentError("shard_count must be >= 0");
-  }
   auto trainer = std::unique_ptr<FederatedTrainer>(new FederatedTrainer(
       std::move(model), std::move(train), std::move(test), config));
   // num_threads == 0 means "auto": the calibrated threads-per-session when
@@ -80,21 +74,9 @@ StatusOr<std::unique_ptr<FederatedTrainer>> FederatedTrainer::Create(
                                               : config.num_threads;
   if (threads > 1) trainer->pool_ = std::make_unique<ThreadPool>(threads);
   trainer->padded_dim_ = NextPowerOfTwo(trainer->model_.num_parameters());
-  // shard_count == 0 means "tuned": the calibrated shard_count when a
-  // tuning was loaded (default 1, the unsharded path). Resolving here pins
-  // one value for the whole run and lets Create reject plans no round could
-  // build (more shards than padded coordinates).
-  trainer->shard_count_ = config.shard_count == 0
-                              ? TunedShardCount()
-                              : static_cast<size_t>(config.shard_count);
-  if (trainer->shard_count_ > trainer->padded_dim_) {
-    return InvalidArgumentError(
-        "shard_count exceeds the padded model dimension");
-  }
   trainer->sampling_rate_ =
       static_cast<double>(config.expected_batch_size) /
       static_cast<double>(trainer->train_.size());
-  trainer->aggregator_ = std::make_unique<secagg::IdealAggregator>();
   if (config.use_adam) {
     trainer->optimizer_ =
         std::make_unique<nn::AdamOptimizer>(config.learning_rate);
@@ -287,41 +269,12 @@ StatusOr<std::vector<double>> FederatedTrainer::AggregateRound(
   // Integer mechanism path: one streaming aggregation session per round.
   // Tiles are encoded and absorbed as they are produced, so the round never
   // holds more than one tile of gradients/encodings plus the aggregator's
-  // O(threads·d) running-sum state — the batch-materializing O(count·d)
-  // buffer is gone. At shard_count_ > 1 the single stream becomes one
-  // narrower stream per ShardPlan range (each under the aggregator instance
-  // CreateShardAggregator derives for that shard), and Finalize stitches the
-  // per-shard partial sums back together — bit-identical to the unsharded
-  // stream because every coordinate's modular sum is computed exactly once
-  // either way.
+  // O(threads·d) running-sum state.
   std::unique_ptr<secagg::StreamingAggregator> stream;
-  std::optional<secagg::ShardPlan> plan;
-  std::vector<std::unique_ptr<secagg::SecureAggregator>> shard_aggregators;
-  std::vector<std::unique_ptr<secagg::StreamingAggregator>> shard_streams;
   if (mechanism_ != nullptr) {
-    if (shard_count_ <= 1) {
-      SMM_ASSIGN_OR_RETURN(stream, aggregator_->Open(
-                                       padded_dim_, mechanism_->modulus(),
-                                       pool_.get()));
-    } else {
-      SMM_ASSIGN_OR_RETURN(auto built_plan, secagg::ShardPlan::Create(
-                                                padded_dim_, shard_count_));
-      plan = built_plan;
-      shard_aggregators.reserve(shard_count_);
-      shard_streams.reserve(shard_count_);
-      for (size_t s = 0; s < shard_count_; ++s) {
-        SMM_ASSIGN_OR_RETURN(auto derived, aggregator_->CreateShardAggregator(
-                                               s, shard_count_));
-        secagg::SecureAggregator* shard_aggregator =
-            derived != nullptr ? derived.get() : aggregator_.get();
-        shard_aggregators.push_back(std::move(derived));
-        SMM_ASSIGN_OR_RETURN(auto shard_stream,
-                             shard_aggregator->Open(plan->Width(s),
-                                                    mechanism_->modulus(),
-                                                    pool_.get()));
-        shard_streams.push_back(std::move(shard_stream));
-      }
-    }
+    SMM_ASSIGN_OR_RETURN(stream, aggregator_.Open(padded_dim_,
+                                                  mechanism_->modulus(),
+                                                  pool_.get()));
   }
 
   std::vector<double> sum(model_dim, 0.0);
@@ -373,21 +326,7 @@ StatusOr<std::vector<double>> FederatedTrainer::AggregateRound(
       for (size_t t = 0; t < tile_count; ++t) {
         tile_ids[t] = static_cast<int>(tile_begin + t);
       }
-      if (shard_count_ <= 1) {
-        SMM_RETURN_IF_ERROR(stream->AbsorbTile(tile_ids, encoded));
-      } else {
-        // Slice the tile per shard and absorb each slice into its worker
-        // stream. Only one shard's slices are resident at a time, so the
-        // transient cost stays one extra tile of one shard's width.
-        std::vector<std::vector<uint64_t>> shard_rows(tile_count);
-        for (size_t s = 0; s < shard_count_; ++s) {
-          for (size_t t = 0; t < tile_count; ++t) {
-            SMM_ASSIGN_OR_RETURN(shard_rows[t], plan->Slice(encoded[t], s));
-          }
-          SMM_RETURN_IF_ERROR(
-              shard_streams[s]->AbsorbTile(tile_ids, shard_rows));
-        }
-      }
+      SMM_RETURN_IF_ERROR(stream->AbsorbTile(tile_ids, encoded));
     } else {
       // Central baselines: exact sum, accumulated in participant order.
       for (const auto& g : gradients) {
@@ -400,30 +339,7 @@ StatusOr<std::vector<double>> FederatedTrainer::AggregateRound(
   }
 
   if (mechanism_ != nullptr) {
-    std::vector<uint64_t> zm_sum;
-    if (shard_count_ <= 1) {
-      SMM_ASSIGN_OR_RETURN(zm_sum, stream->Finalize());
-    } else {
-      // Finalize every shard stream and stitch the ranges back through the
-      // coordinator merge (each range appears exactly once, so this is pure
-      // concatenation plus the merge's tiling checks).
-      std::vector<secagg::PartialSumMsg> partials;
-      partials.reserve(shard_count_);
-      for (size_t s = 0; s < shard_count_; ++s) {
-        SMM_ASSIGN_OR_RETURN(auto shard_sum, shard_streams[s]->Finalize());
-        secagg::PartialSumMsg partial;
-        partial.modulus = mechanism_->modulus();
-        partial.num_contributors = static_cast<uint32_t>(count);
-        partial.shard = plan->Spec(s);
-        partial.sum = std::move(shard_sum);
-        partials.push_back(std::move(partial));
-      }
-      SMM_ASSIGN_OR_RETURN(auto merged,
-                           secagg::MergePartialSums(std::move(partials),
-                                                    padded_dim_,
-                                                    mechanism_->modulus()));
-      zm_sum = std::move(merged.sum);
-    }
+    SMM_ASSIGN_OR_RETURN(auto zm_sum, stream->Finalize());
     SMM_ASSIGN_OR_RETURN(auto decoded,
                          mechanism_->DecodeSum(zm_sum,
                                                static_cast<int>(count)));

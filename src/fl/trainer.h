@@ -102,14 +102,13 @@ class FederatedTrainer {
   Status Calibrate();
 
   /// One round: returns the decoded gradient average (model dimension).
-  /// The round is pipelined per tile of O(threads) participants — compute
-  /// gradients, encode, absorb into a streaming aggregation session — so
-  /// peak memory is O(threads·d) regardless of how many participants the
-  /// Poisson sample drew, and the result is bit-identical to materializing
-  /// every encoded vector and batch-aggregating. At shard_count_ > 1 the
-  /// session is replaced by K per-shard streams over the ShardPlan's
-  /// contiguous dimension ranges, stitched back by the coordinator merge —
-  /// still bit-identical (exact modular arithmetic per coordinate).
+  /// The round is one Open -> AbsorbTile* -> Finalize stream on the ideal
+  /// aggregator, pipelined per tile of O(threads) participants — compute
+  /// gradients, encode, absorb — so peak memory is O(threads·d) regardless
+  /// of how many participants the Poisson sample drew, and the result is
+  /// the exact modular sum of every participant's encoding. Encodings are
+  /// absorbed in process, never framed: the wire codec would cost more than
+  /// the rest of the round (see docs/ARCHITECTURE.md).
   StatusOr<std::vector<double>> AggregateRound(
       const std::vector<size_t>& participant_indices, double* mean_loss);
 
@@ -120,12 +119,8 @@ class FederatedTrainer {
 
   size_t padded_dim_ = 0;
   double sampling_rate_ = 0.0;
-  /// Resolved shard workers per round (config.shard_count, or the tuned
-  /// default when the config asked for 0). 1 = the unsharded stream.
-  size_t shard_count_ = 1;
-
   std::unique_ptr<mechanisms::DistributedSumMechanism> mechanism_;
-  std::unique_ptr<secagg::SecureAggregator> aggregator_;
+  secagg::IdealAggregator aggregator_;
   std::unique_ptr<nn::Optimizer> optimizer_;
   /// Shared by gradient computation, batched encode, and aggregation;
   /// null when config.num_threads resolves to 1.

@@ -281,7 +281,6 @@ StatusOr<std::vector<double>> RunDistributedSum(
   // never affects results (encoding reads only per-participant streams, and
   // absorption is exact mod m).
   const size_t tile_size = TunedTileRows(threads);
-  if (shard_count == 0) shard_count = TunedShardCount();
 
   // The full client -> server message flow: each tile of participants is
   // encoded in place, prepared for the wire (masked, under the masked

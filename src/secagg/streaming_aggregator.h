@@ -26,8 +26,8 @@ namespace smm::secagg {
 /// independent of how many participants are absorbed.
 ///
 /// Determinism: all accumulation is exact integer arithmetic mod m, so
-/// Finalize() is bit-identical to the batch Aggregate/AggregateParallel
-/// path for any thread count, any absorb order, and any tiling.
+/// Finalize() equals the plain element-wise AddMod sum of the absorbed
+/// (unmasked) contributions for any thread count, absorb order, and tiling.
 ///
 /// Streams are single-session: after Finalize() every further call fails
 /// with FailedPrecondition. Not thread-safe — one caller drives a stream

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "aggregation_test_util.h"
 #include "common/parallel.h"
 #include "common/random.h"
 #include "common/simd.h"
@@ -237,12 +238,16 @@ TEST(EncodeBatchDeterminismTest, ShardedAggregationMatchesSequential) {
     for (auto& v : row) v = rng.UniformUint64(kModulus);
   }
   secagg::IdealAggregator aggregator;
-  const std::vector<uint64_t> sequential =
-      aggregator.Aggregate(inputs, kModulus).value();
-  for (int threads : {2, 5, 8}) {
+  const std::vector<int> ids =
+      secagg::test_util::AllIds(static_cast<int>(inputs.size()));
+  const std::vector<uint64_t> expected =
+      secagg::test_util::PlainSum(inputs, kModulus);
+  for (int threads : {1, 2, 5, 8}) {
     ThreadPool pool(threads);
-    EXPECT_EQ(sequential,
-              aggregator.AggregateParallel(inputs, kModulus, &pool).value())
+    EXPECT_EQ(expected, secagg::test_util::StreamSum(aggregator, kDim,
+                                                     kModulus, ids, inputs,
+                                                     &pool)
+                            .value())
         << threads << " threads";
   }
 }

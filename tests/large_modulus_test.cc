@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "aggregation_test_util.h"
 #include "common/math_util.h"
 #include "common/random.h"
 #include "secagg/modular.h"
@@ -20,17 +21,7 @@ namespace {
 constexpr uint64_t kLargePrime = 18446744073709551557ULL;  // 2^64 - 59.
 
 using uint128 = unsigned __int128;
-
-std::vector<std::vector<uint64_t>> RandomInputs(int n, size_t dim, uint64_t m,
-                                                uint64_t seed) {
-  RandomGenerator rng(seed);
-  std::vector<std::vector<uint64_t>> inputs(static_cast<size_t>(n));
-  for (auto& v : inputs) {
-    v.resize(dim);
-    for (auto& x : v) x = rng.UniformUint64(m);
-  }
-  return inputs;
-}
+using test_util::RandomInputs;
 
 /// Exact reference sum through 128-bit arithmetic.
 std::vector<uint64_t> ExactSum128(
@@ -157,12 +148,13 @@ TEST(LargeModulusTest, IdealAggregatorIsExact) {
   const auto inputs = RandomInputs(23, 17, m, 6);
   const auto expected = ExactSum128(inputs, m);
   IdealAggregator agg;
-  auto sequential = agg.Aggregate(inputs, m);
+  const std::vector<int> ids = test_util::AllIds(23);
+  auto sequential = test_util::StreamSum(agg, 17, m, ids, inputs);
   ASSERT_TRUE(sequential.ok());
   EXPECT_EQ(*sequential, expected);
   for (int threads : {2, 8}) {
     ThreadPool pool(threads);
-    auto parallel = agg.AggregateParallel(inputs, m, &pool);
+    auto parallel = test_util::StreamSum(agg, 17, m, ids, inputs, &pool);
     ASSERT_TRUE(parallel.ok());
     EXPECT_EQ(*parallel, expected) << threads << " threads";
   }
@@ -181,21 +173,22 @@ TEST(LargeModulusTest, MaskedAggregatorIsExact) {
   const auto inputs = RandomInputs(n, dim, m, 8);
   // Full participation: every pairwise mask must cancel exactly even though
   // individual masked coordinates live right below 2^64.
-  auto full = (*agg)->Aggregate(inputs, m);
+  const std::vector<int> everyone = test_util::AllIds(n);
+  auto masked_all = test_util::MaskAll(**agg, everyone, inputs, m);
+  ASSERT_TRUE(masked_all.ok());
+  auto full = test_util::StreamSum(**agg, dim, m, everyone, *masked_all);
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(*full, ExactSum128(inputs, m));
 
   // Dropout recovery at the same modulus.
   const std::vector<int> survivors = {0, 2, 3, 5, 6};
-  std::vector<std::vector<uint64_t>> masked;
   std::vector<std::vector<uint64_t>> survivor_inputs;
   for (int i : survivors) {
-    auto mi = (*agg)->MaskInput(i, inputs[static_cast<size_t>(i)], m);
-    ASSERT_TRUE(mi.ok());
-    masked.push_back(std::move(*mi));
     survivor_inputs.push_back(inputs[static_cast<size_t>(i)]);
   }
-  auto recovered = (*agg)->UnmaskSum(masked, survivors, dim, m);
+  auto masked = test_util::MaskAll(**agg, survivors, inputs, m);
+  ASSERT_TRUE(masked.ok());
+  auto recovered = test_util::StreamSum(**agg, dim, m, survivors, *masked);
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(*recovered, ExactSum128(survivor_inputs, m));
 }

@@ -1,60 +1,31 @@
 // Thread-count invariance of the parallel masked-aggregation paths: mask
-// expansion sharded over pairs, unmasking (with dropouts) sharded over
-// survivors and recovery pairs, and the full AggregateParallel round must
-// all be bit-identical to the sequential path for every thread count.
+// expansion sharded over pairs, and the masked stream's tile absorb
+// (sharded over survivors) plus Finalize-time dropout recovery (sharded
+// over recovery pairs), must all be bit-identical to the sequential path
+// for every thread count — and the stream must equal the plain sum of the
+// survivors' unmasked inputs.
 //
 // SMM_THREADS (when set to a positive integer) adds an extra thread count to
 // every invariance sweep, so the sanitizer CI jobs exercise the same tests
 // at their configured concurrency.
 #include "secagg/secure_aggregator.h"
 
-#include <cstdlib>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "aggregation_test_util.h"
 #include "common/parallel.h"
-#include "common/random.h"
 
 namespace smm::secagg {
 namespace {
 
-std::vector<std::vector<uint64_t>> RandomInputs(int n, size_t dim, uint64_t m,
-                                                uint64_t seed) {
-  RandomGenerator rng(seed);
-  std::vector<std::vector<uint64_t>> inputs(static_cast<size_t>(n));
-  for (auto& v : inputs) {
-    v.resize(dim);
-    for (auto& x : v) x = rng.UniformUint64(m);
-  }
-  return inputs;
-}
-
-std::vector<uint64_t> ExactSum(const std::vector<std::vector<uint64_t>>& in,
-                               uint64_t m) {
-  std::vector<uint64_t> sum(in[0].size(), 0);
-  for (const auto& v : in) {
-    for (size_t j = 0; j < v.size(); ++j) sum[j] = (sum[j] + v[j]) % m;
-  }
-  return sum;
-}
-
-/// Thread counts every invariance test sweeps: 1, 2, 8, plus SMM_THREADS
-/// when the environment sets it to something else (the CI sanitizer jobs
-/// export SMM_THREADS=8).
-std::vector<int> ThreadCounts() {
-  std::vector<int> counts = {1, 2, 8};
-  const char* env = std::getenv("SMM_THREADS");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const long threads = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && threads > 0 && threads <= 4096 &&
-        threads != 1 && threads != 2 && threads != 8) {
-      counts.push_back(static_cast<int>(threads));
-    }
-  }
-  return counts;
-}
+using test_util::AllIds;
+using test_util::MaskAll;
+using test_util::PlainSum;
+using test_util::RandomInputs;
+using test_util::StreamSum;
+using test_util::ThreadCounts;
 
 MaskedAggregator::Options BasicOptions(int n, int threshold) {
   MaskedAggregator::Options o;
@@ -85,7 +56,8 @@ TEST(MaskedAggregatorParallelTest, MaskInputIsThreadCountInvariant) {
   }
 }
 
-TEST(MaskedAggregatorParallelTest, UnmaskSumWithDropoutsIsThreadCountInvariant) {
+TEST(MaskedAggregatorParallelTest,
+     StreamWithDropoutsIsThreadCountInvariant) {
   const int n = 9;
   auto agg = MaskedAggregator::Create(BasicOptions(n, 4));
   ASSERT_TRUE(agg.ok());
@@ -95,46 +67,33 @@ TEST(MaskedAggregatorParallelTest, UnmaskSumWithDropoutsIsThreadCountInvariant) 
 
   // Participants 1, 3, 5, 7 drop out after masking is configured.
   const std::vector<int> survivors = {0, 2, 4, 6, 8};
-  std::vector<std::vector<uint64_t>> masked;
-  for (int i : survivors) {
-    auto mi = (*agg)->MaskInput(i, inputs[static_cast<size_t>(i)], m);
-    ASSERT_TRUE(mi.ok());
-    masked.push_back(std::move(*mi));
-  }
-  auto sequential = (*agg)->UnmaskSum(masked, survivors, dim, m);
-  ASSERT_TRUE(sequential.ok());
-
-  std::vector<uint64_t> expected(dim, 0);
-  for (int i : survivors) {
-    for (size_t j = 0; j < dim; ++j) {
-      expected[j] = (expected[j] + inputs[static_cast<size_t>(i)][j]) % m;
-    }
-  }
-  EXPECT_EQ(*sequential, expected);
-
+  auto masked = MaskAll(**agg, survivors, inputs, m);
+  ASSERT_TRUE(masked.ok());
+  const auto expected = PlainSum(inputs, survivors, m);
   for (int threads : ThreadCounts()) {
     ThreadPool pool(threads);
-    auto parallel = (*agg)->UnmaskSum(masked, survivors, dim, m, &pool);
+    auto parallel = StreamSum(**agg, dim, m, survivors, *masked, &pool);
     ASSERT_TRUE(parallel.ok()) << threads << " threads";
-    EXPECT_EQ(*sequential, *parallel) << threads << " threads";
+    EXPECT_EQ(*parallel, expected) << threads << " threads";
   }
 }
 
-TEST(MaskedAggregatorParallelTest, AggregateParallelMatchesAggregate) {
+TEST(MaskedAggregatorParallelTest, FullRoundIsThreadCountInvariant) {
+  // Masking and absorption both on the pool, everyone survives.
   const int n = 12;
   auto agg = MaskedAggregator::Create(BasicOptions(n, 6));
   ASSERT_TRUE(agg.ok());
   const uint64_t m = 1 << 18;
   const size_t dim = 96;
   const auto inputs = RandomInputs(n, dim, m, 13);
-  auto sequential = (*agg)->Aggregate(inputs, m);
-  ASSERT_TRUE(sequential.ok());
-  EXPECT_EQ(*sequential, ExactSum(inputs, m));
+  const auto expected = PlainSum(inputs, m);
   for (int threads : ThreadCounts()) {
     ThreadPool pool(threads);
-    auto parallel = (*agg)->AggregateParallel(inputs, m, &pool);
+    auto masked = MaskAll(**agg, AllIds(n), inputs, m, &pool);
+    ASSERT_TRUE(masked.ok()) << threads << " threads";
+    auto parallel = StreamSum(**agg, dim, m, AllIds(n), *masked, &pool);
     ASSERT_TRUE(parallel.ok()) << threads << " threads";
-    EXPECT_EQ(*sequential, *parallel) << threads << " threads";
+    EXPECT_EQ(*parallel, expected) << threads << " threads";
   }
 }
 
@@ -145,11 +104,11 @@ TEST(MaskedAggregatorParallelTest, ParallelErrorsStillPropagate) {
   ThreadPool pool(4);
   // Below the Shamir threshold: must fail identically in parallel mode.
   std::vector<std::vector<uint64_t>> masked(2, std::vector<uint64_t>(4, 0));
-  EXPECT_FALSE((*agg)->UnmaskSum(masked, {0, 1}, 4, m, &pool).ok());
+  EXPECT_FALSE(StreamSum(**agg, 4, m, {0, 1}, masked, &pool).ok());
   // Dimension mismatch among masked inputs.
   std::vector<std::vector<uint64_t>> ragged(4, std::vector<uint64_t>(4, 0));
   ragged[2].resize(3);
-  EXPECT_FALSE((*agg)->UnmaskSum(ragged, {0, 1, 2, 3}, 4, m, &pool).ok());
+  EXPECT_FALSE(StreamSum(**agg, 4, m, {0, 1, 2, 3}, ragged, &pool).ok());
 }
 
 }  // namespace

@@ -2,45 +2,33 @@
 
 #include <gtest/gtest.h>
 
-#include "common/random.h"
-#include "secagg/modular.h"
+#include "aggregation_test_util.h"
 
 namespace smm::secagg {
 namespace {
 
-std::vector<std::vector<uint64_t>> RandomInputs(int n, size_t dim, uint64_t m,
-                                                uint64_t seed) {
-  RandomGenerator rng(seed);
-  std::vector<std::vector<uint64_t>> inputs(static_cast<size_t>(n));
-  for (auto& v : inputs) {
-    v.resize(dim);
-    for (auto& x : v) x = rng.UniformUint64(m);
-  }
-  return inputs;
-}
-
-std::vector<uint64_t> ExactSum(const std::vector<std::vector<uint64_t>>& in,
-                               uint64_t m) {
-  std::vector<uint64_t> sum(in[0].size(), 0);
-  for (const auto& v : in) {
-    for (size_t j = 0; j < v.size(); ++j) sum[j] = (sum[j] + v[j]) % m;
-  }
-  return sum;
-}
+using test_util::AllIds;
+using test_util::MaskAll;
+using test_util::PlainSum;
+using test_util::RandomInputs;
+using test_util::StreamSum;
 
 TEST(IdealAggregatorTest, SumsModM) {
   IdealAggregator agg;
   const auto inputs = RandomInputs(5, 16, 256, 1);
-  auto sum = agg.Aggregate(inputs, 256);
+  auto sum = StreamSum(agg, 16, 256, AllIds(5), inputs);
   ASSERT_TRUE(sum.ok());
-  EXPECT_EQ(*sum, ExactSum(inputs, 256));
+  EXPECT_EQ(*sum, PlainSum(inputs, 256));
 }
 
 TEST(IdealAggregatorTest, RejectsBadInputs) {
   IdealAggregator agg;
-  EXPECT_FALSE(agg.Aggregate({}, 256).ok());
-  EXPECT_FALSE(agg.Aggregate({{1, 2}, {3}}, 256).ok());
-  EXPECT_FALSE(agg.Aggregate({{1}}, 1).ok());
+  // Nothing absorbed.
+  EXPECT_FALSE(StreamSum(agg, 2, 256, {}, {}).ok());
+  // Ragged rows.
+  EXPECT_FALSE(StreamSum(agg, 2, 256, {0, 1}, {{1, 2}, {3}}).ok());
+  // Degenerate modulus.
+  EXPECT_FALSE(StreamSum(agg, 1, 1, {0}, {{1}}).ok());
 }
 
 MaskedAggregator::Options BasicOptions(int n, int threshold) {
@@ -63,9 +51,11 @@ TEST(MaskedAggregatorTest, MatchesIdealSum) {
   ASSERT_TRUE(agg.ok());
   const uint64_t m = 1024;
   const auto inputs = RandomInputs(6, 32, m, 2);
-  auto masked_sum = (*agg)->Aggregate(inputs, m);
+  auto masked = MaskAll(**agg, AllIds(6), inputs, m);
+  ASSERT_TRUE(masked.ok());
+  auto masked_sum = StreamSum(**agg, 32, m, AllIds(6), *masked);
   ASSERT_TRUE(masked_sum.ok());
-  EXPECT_EQ(*masked_sum, ExactSum(inputs, m));
+  EXPECT_EQ(*masked_sum, PlainSum(inputs, m));
 }
 
 TEST(MaskedAggregatorTest, MaskedInputsHideRawValues) {
@@ -118,22 +108,11 @@ TEST(MaskedAggregatorTest, DropoutRecoveryReconstructsSum) {
   // Participants 1 and 3 drop out AFTER masking is configured but before
   // submitting; survivors are 0, 2, 4.
   const std::vector<int> survivors = {0, 2, 4};
-  std::vector<std::vector<uint64_t>> masked;
-  for (int i : survivors) {
-    auto mi = (*agg)->MaskInput(i, inputs[static_cast<size_t>(i)], m);
-    ASSERT_TRUE(mi.ok());
-    masked.push_back(std::move(*mi));
-  }
-  auto sum = (*agg)->UnmaskSum(masked, survivors, dim, m);
+  auto masked = MaskAll(**agg, survivors, inputs, m);
+  ASSERT_TRUE(masked.ok());
+  auto sum = StreamSum(**agg, dim, m, survivors, *masked);
   ASSERT_TRUE(sum.ok());
-
-  std::vector<uint64_t> expected(dim, 0);
-  for (int i : survivors) {
-    for (size_t j = 0; j < dim; ++j) {
-      expected[j] = (expected[j] + inputs[static_cast<size_t>(i)][j]) % m;
-    }
-  }
-  EXPECT_EQ(*sum, expected);
+  EXPECT_EQ(*sum, PlainSum(inputs, survivors, m));
 }
 
 TEST(MaskedAggregatorTest, TooManyDropoutsFail) {
@@ -142,13 +121,9 @@ TEST(MaskedAggregatorTest, TooManyDropoutsFail) {
   const uint64_t m = 256;
   const auto inputs = RandomInputs(5, 4, m, 5);
   const std::vector<int> survivors = {0, 1};  // Below threshold 4.
-  std::vector<std::vector<uint64_t>> masked;
-  for (int i : survivors) {
-    auto mi = (*agg)->MaskInput(i, inputs[static_cast<size_t>(i)], m);
-    ASSERT_TRUE(mi.ok());
-    masked.push_back(std::move(*mi));
-  }
-  EXPECT_FALSE((*agg)->UnmaskSum(masked, survivors, 4, m).ok());
+  auto masked = MaskAll(**agg, survivors, inputs, m);
+  ASSERT_TRUE(masked.ok());
+  EXPECT_FALSE(StreamSum(**agg, 4, m, survivors, *masked).ok());
 }
 
 TEST(MaskedAggregatorTest, MaskInputValidatesArguments) {
@@ -166,15 +141,19 @@ TEST(MaskedAggregatorTest, MaskInputValidatesArguments) {
   EXPECT_TRUE((*agg)->MaskInput(3, input, 256).ok());
 }
 
-TEST(MaskedAggregatorTest, UnmaskSumValidatesArguments) {
+TEST(MaskedAggregatorTest, StreamValidatesArguments) {
   auto agg = MaskedAggregator::Create(BasicOptions(4, 2));
   ASSERT_TRUE(agg.ok());
   std::vector<std::vector<uint64_t>> masked(3, std::vector<uint64_t>(4, 0));
   const std::vector<int> survivors = {0, 1, 2};
-  EXPECT_FALSE((*agg)->UnmaskSum(masked, survivors, 4, 0).ok());
-  EXPECT_FALSE((*agg)->UnmaskSum(masked, survivors, 4, 1).ok());
-  EXPECT_FALSE((*agg)->UnmaskSum(masked, survivors, 0, 256).ok());
-  EXPECT_TRUE((*agg)->UnmaskSum(masked, survivors, 4, 256).ok());
+  EXPECT_FALSE((*agg)->Open(4, 0).ok());
+  EXPECT_FALSE((*agg)->Open(4, 1).ok());
+  EXPECT_FALSE((*agg)->Open(0, 256).ok());
+  // Rows that do not match the stream's dimension.
+  EXPECT_FALSE(StreamSum(**agg, 5, 256, survivors, masked).ok());
+  // One id per row.
+  EXPECT_FALSE(StreamSum(**agg, 4, 256, {0, 1}, masked).ok());
+  EXPECT_TRUE(StreamSum(**agg, 4, 256, survivors, masked).ok());
 }
 
 TEST(MaskedAggregatorTest, DuplicateSurvivorRejected) {
@@ -182,7 +161,7 @@ TEST(MaskedAggregatorTest, DuplicateSurvivorRejected) {
   ASSERT_TRUE(agg.ok());
   const uint64_t m = 256;
   std::vector<std::vector<uint64_t>> masked(2, std::vector<uint64_t>(4, 0));
-  EXPECT_FALSE((*agg)->UnmaskSum(masked, {1, 1}, 4, m).ok());
+  EXPECT_FALSE(StreamSum(**agg, 4, m, {1, 1}, masked).ok());
 }
 
 class MaskedAggregatorParamTest
@@ -197,9 +176,11 @@ TEST_P(MaskedAggregatorParamTest, MatchesIdealAcrossSizesAndModuli) {
   auto agg = MaskedAggregator::Create(o);
   ASSERT_TRUE(agg.ok());
   const auto inputs = RandomInputs(n, 8, m, static_cast<uint64_t>(n) + m);
-  auto sum = (*agg)->Aggregate(inputs, m);
+  auto masked = MaskAll(**agg, AllIds(n), inputs, m);
+  ASSERT_TRUE(masked.ok());
+  auto sum = StreamSum(**agg, 8, m, AllIds(n), *masked);
   ASSERT_TRUE(sum.ok());
-  EXPECT_EQ(*sum, ExactSum(inputs, m));
+  EXPECT_EQ(*sum, PlainSum(inputs, m));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,48 +1,26 @@
 // End-to-end tests for the frame-driven aggregation session: the
 // client -> ContributionMsg frame -> AggregationSession -> streaming-sum
-// path must be bit-identical to the batch Aggregate/AggregateParallel path
+// path must equal the plain AddMod sum of the contributors' unmasked inputs
 // for both provided aggregators, at any thread count and arrival order,
 // with dropouts deferred to Finalize; and corrupt or protocol-violating
 // frames must be rejected with a Status while the session keeps serving.
 #include "secagg/session.h"
 
-#include <algorithm>
-#include <cstdlib>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "aggregation_test_util.h"
 #include "common/parallel.h"
-#include "common/random.h"
 #include "secagg/secure_aggregator.h"
 #include "secagg/transport.h"
 
 namespace smm::secagg {
 namespace {
 
-/// Thread counts exercised everywhere: the issue's {1, 2, 8} plus the
-/// SMM_THREADS override the TSan CI job sets.
-std::vector<int> TestThreadCounts() {
-  std::vector<int> counts = {1, 2, 8};
-  if (const char* env = std::getenv("SMM_THREADS")) {
-    const int t = std::atoi(env);
-    if (t > 0 && std::find(counts.begin(), counts.end(), t) == counts.end()) {
-      counts.push_back(t);
-    }
-  }
-  return counts;
-}
-
-std::vector<std::vector<uint64_t>> RandomInputs(int n, size_t dim, uint64_t m,
-                                                uint64_t seed) {
-  RandomGenerator rng(seed);
-  std::vector<std::vector<uint64_t>> inputs(static_cast<size_t>(n));
-  for (auto& v : inputs) {
-    v.resize(dim);
-    for (auto& x : v) x = rng.UniformUint64(m);
-  }
-  return inputs;
-}
+using test_util::PlainSum;
+using test_util::RandomInputs;
+using test_util::ThreadCounts;
 
 /// Runs the wire path: prepare each contribution (masking, under the masked
 /// protocol), frame it, send it over the loopback transport in `order`, and
@@ -86,19 +64,18 @@ TEST(AggregationSessionTest, OpenValidates) {
   EXPECT_FALSE(AggregationSession::Open(aggregator, options).ok());
 }
 
-TEST(AggregationSessionTest, IdealMatchesBatchAtEveryThreadCount) {
+TEST(AggregationSessionTest, IdealMatchesPlainSumAtEveryThreadCount) {
   const uint64_t m = 18446744073709551557ULL;  // 2^64 - 59: wrap-prone.
   const auto inputs = RandomInputs(33, 29, m, 4);
   IdealAggregator aggregator;
-  auto batch = aggregator.Aggregate(inputs, m);
-  ASSERT_TRUE(batch.ok());
+  const auto expected = PlainSum(inputs, m);
   std::vector<int> order(inputs.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
-  for (int threads : TestThreadCounts()) {
+  for (int threads : ThreadCounts()) {
     ThreadPool pool(threads);
     auto sum = RunWireRound(aggregator, inputs, order, m, &pool);
     ASSERT_TRUE(sum.ok()) << sum.status().ToString();
-    EXPECT_EQ(sum->sum, *batch) << threads << " threads";
+    EXPECT_EQ(sum->sum, expected) << threads << " threads";
     EXPECT_EQ(sum->num_contributors, inputs.size());
     EXPECT_EQ(sum->modulus, m);
   }
@@ -115,7 +92,7 @@ TEST(AggregationSessionTest, TiledSessionsMatchPerFrameSessions) {
   for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
   auto reference = RunWireRound(aggregator, inputs, order, m, nullptr);
   ASSERT_TRUE(reference.ok());
-  for (int threads : TestThreadCounts()) {
+  for (int threads : ThreadCounts()) {
     ThreadPool pool(threads);
     for (size_t tile_rows : {size_t{1}, size_t{7}, size_t{64}}) {
       auto sum = RunWireRound(aggregator, inputs, order, m, &pool,
@@ -182,7 +159,7 @@ TEST(AggregationSessionTest, TiledBadTileDroppedAndItsParticipantsCanRetry) {
   EXPECT_EQ(sum->sum, (std::vector<uint64_t>{3, 6}));
 }
 
-TEST(AggregationSessionTest, MaskedMatchesBatchInShuffledArrivalOrder) {
+TEST(AggregationSessionTest, MaskedMatchesPlainSumInShuffledArrivalOrder) {
   const int n = 9;
   MaskedAggregator::Options options;
   options.num_participants = n;
@@ -192,15 +169,14 @@ TEST(AggregationSessionTest, MaskedMatchesBatchInShuffledArrivalOrder) {
   ASSERT_TRUE(aggregator.ok());
   const uint64_t m = 1ULL << 32;
   const auto inputs = RandomInputs(n, 13, m, 5);
-  auto batch = (*aggregator)->Aggregate(inputs, m);
-  ASSERT_TRUE(batch.ok());
+  const auto expected = PlainSum(inputs, m);
   // Contributions arrive in an adversarial order; masking still cancels.
   std::vector<int> order = {7, 2, 8, 0, 5, 1, 6, 3, 4};
-  for (int threads : TestThreadCounts()) {
+  for (int threads : ThreadCounts()) {
     ThreadPool pool(threads);
     auto sum = RunWireRound(**aggregator, inputs, order, m, &pool);
     ASSERT_TRUE(sum.ok()) << sum.status().ToString();
-    EXPECT_EQ(sum->sum, *batch) << threads << " threads";
+    EXPECT_EQ(sum->sum, expected) << threads << " threads";
   }
 }
 
@@ -214,21 +190,12 @@ TEST(AggregationSessionTest, MaskedDropoutsRecoveredAtFinalize) {
   ASSERT_TRUE(aggregator.ok());
   const uint64_t m = 1 << 16;
   const auto inputs = RandomInputs(n, 11, m, 6);
-  // Participants 2 and 6 never send a frame; the session must recover
-  // their leftover masks exactly as the batch UnmaskSum would.
+  // Participants 2 and 6 never send a frame; the session must remove
+  // their leftover masks, leaving exactly the survivors' plain sum.
   const std::vector<int> survivors = {0, 1, 3, 4, 5, 7};
-  std::vector<std::vector<uint64_t>> masked;
-  for (int i : survivors) {
-    auto mi = (*aggregator)->MaskInput(i, inputs[static_cast<size_t>(i)], m);
-    ASSERT_TRUE(mi.ok());
-    masked.push_back(std::move(*mi));
-  }
-  auto batch = (*aggregator)->UnmaskSum(masked, survivors,
-                                        inputs[0].size(), m);
-  ASSERT_TRUE(batch.ok());
   auto sum = RunWireRound(**aggregator, inputs, survivors, m, nullptr);
   ASSERT_TRUE(sum.ok()) << sum.status().ToString();
-  EXPECT_EQ(sum->sum, *batch);
+  EXPECT_EQ(sum->sum, PlainSum(inputs, survivors, m));
   EXPECT_EQ(sum->num_contributors, survivors.size());
 }
 

@@ -1,18 +1,18 @@
-// Property tests for the streaming aggregation subsystem: Finalize must be
-// bit-identical to the batch Aggregate/AggregateParallel path for both
-// implementations, across thread counts {1, 2, 8} (+ SMM_THREADS), shuffled
-// absorb orders, per-participant vs tiled absorbs, dropout patterns, and
-// moduli spanning the full uint64 range — including 2^64 - 59, where a
-// naive `(acc + v) % m` accumulator silently wraps.
+// Property tests for the streaming aggregation subsystem: Finalize must
+// equal the plain AddMod sum of the absorbed participants' unmasked inputs
+// for both implementations, across thread counts {1, 2, 8} (+ SMM_THREADS),
+// shuffled absorb orders, per-participant vs tiled absorbs, dropout
+// patterns, and moduli spanning the full uint64 range — including
+// 2^64 - 59, where a naive `(acc + v) % m` accumulator silently wraps.
 #include "secagg/streaming_aggregator.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "aggregation_test_util.h"
 #include "common/parallel.h"
 #include "common/random.h"
 #include "secagg/secure_aggregator.h"
@@ -20,40 +20,18 @@
 namespace smm::secagg {
 namespace {
 
+using test_util::AllIds;
+using test_util::MaskAll;
+using test_util::PlainSum;
+using test_util::RandomInputs;
+using test_util::ThreadCounts;
+
 constexpr uint64_t kLargePrime = 18446744073709551557ULL;  // 2^64 - 59.
 
 const std::vector<uint64_t>& TestModuli() {
   static const std::vector<uint64_t> kModuli = {1ULL << 16, 1ULL << 32,
                                                 kLargePrime};
   return kModuli;
-}
-
-/// Thread counts every sweep covers: 1, 2, 8, plus SMM_THREADS when the
-/// environment sets it to something else (the CI sanitizer jobs export
-/// SMM_THREADS=8).
-std::vector<int> ThreadCounts() {
-  std::vector<int> counts = {1, 2, 8};
-  const char* env = std::getenv("SMM_THREADS");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const long threads = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && threads > 0 && threads <= 4096 &&
-        threads != 1 && threads != 2 && threads != 8) {
-      counts.push_back(static_cast<int>(threads));
-    }
-  }
-  return counts;
-}
-
-std::vector<std::vector<uint64_t>> RandomInputs(int n, size_t dim, uint64_t m,
-                                                uint64_t seed) {
-  RandomGenerator rng(seed);
-  std::vector<std::vector<uint64_t>> inputs(static_cast<size_t>(n));
-  for (auto& v : inputs) {
-    v.resize(dim);
-    for (auto& x : v) x = rng.UniformUint64(m);
-  }
-  return inputs;
 }
 
 /// Deterministic Fisher-Yates shuffle of {0, ..., n-1}.
@@ -67,14 +45,13 @@ std::vector<size_t> ShuffledOrder(size_t n, uint64_t seed) {
   return order;
 }
 
-TEST(StreamingAggregatorTest, IdealMatchesBatchAcrossThreadsAndOrders) {
+TEST(StreamingAggregatorTest, IdealMatchesPlainSumAcrossThreadsAndOrders) {
   const int n = 13;
   const size_t dim = 33;  // Deliberately not a multiple of the chunk count.
   IdealAggregator agg;
   for (uint64_t m : TestModuli()) {
     const auto inputs = RandomInputs(n, dim, m, 21 + m % 97);
-    auto batch = agg.Aggregate(inputs, m);
-    ASSERT_TRUE(batch.ok());
+    const auto expected = PlainSum(inputs, m);
     for (int threads : ThreadCounts()) {
       ThreadPool pool(threads);
       // Shuffled per-participant absorbs.
@@ -87,19 +64,18 @@ TEST(StreamingAggregatorTest, IdealMatchesBatchAcrossThreadsAndOrders) {
       EXPECT_EQ((*stream)->absorbed(), inputs.size());
       auto streamed = (*stream)->Finalize();
       ASSERT_TRUE(streamed.ok());
-      EXPECT_EQ(*streamed, *batch) << "m=" << m << " threads=" << threads;
+      EXPECT_EQ(*streamed, expected) << "m=" << m << " threads=" << threads;
     }
   }
 }
 
-TEST(StreamingAggregatorTest, IdealTiledAbsorbMatchesBatch) {
+TEST(StreamingAggregatorTest, IdealTiledAbsorbMatchesPlainSum) {
   const int n = 29;
   const size_t dim = 65;
   IdealAggregator agg;
   for (uint64_t m : TestModuli()) {
     const auto inputs = RandomInputs(n, dim, m, 4 + m % 89);
-    auto batch = agg.Aggregate(inputs, m);
-    ASSERT_TRUE(batch.ok());
+    const auto expected = PlainSum(inputs, m);
     for (int threads : ThreadCounts()) {
       ThreadPool pool(threads);
       for (size_t tile : {size_t{1}, size_t{4}, size_t{7}, size_t{29}}) {
@@ -117,7 +93,7 @@ TEST(StreamingAggregatorTest, IdealTiledAbsorbMatchesBatch) {
         }
         auto streamed = (*stream)->Finalize();
         ASSERT_TRUE(streamed.ok());
-        EXPECT_EQ(*streamed, *batch)
+        EXPECT_EQ(*streamed, expected)
             << "m=" << m << " threads=" << threads << " tile=" << tile;
       }
     }
@@ -132,15 +108,14 @@ MaskedAggregator::Options BasicOptions(int n, int threshold) {
   return o;
 }
 
-TEST(StreamingAggregatorTest, MaskedMatchesBatchFullParticipation) {
+TEST(StreamingAggregatorTest, MaskedMatchesPlainSumFullParticipation) {
   const int n = 10;
   const size_t dim = 41;
   auto agg = MaskedAggregator::Create(BasicOptions(n, 4));
   ASSERT_TRUE(agg.ok());
   for (uint64_t m : TestModuli()) {
     const auto inputs = RandomInputs(n, dim, m, 7 + m % 83);
-    auto batch = (*agg)->Aggregate(inputs, m);
-    ASSERT_TRUE(batch.ok());
+    const auto expected = PlainSum(inputs, m);
     for (int threads : ThreadCounts()) {
       ThreadPool pool(threads);
       auto stream = (*agg)->Open(dim, m, &pool);
@@ -153,12 +128,12 @@ TEST(StreamingAggregatorTest, MaskedMatchesBatchFullParticipation) {
       }
       auto streamed = (*stream)->Finalize();
       ASSERT_TRUE(streamed.ok());
-      EXPECT_EQ(*streamed, *batch) << "m=" << m << " threads=" << threads;
+      EXPECT_EQ(*streamed, expected) << "m=" << m << " threads=" << threads;
     }
   }
 }
 
-TEST(StreamingAggregatorTest, MaskedDropoutRecoveryMatchesUnmaskSum) {
+TEST(StreamingAggregatorTest, MaskedDropoutRecoveryMatchesSurvivorPlainSum) {
   const int n = 9;
   const size_t dim = 26;
   auto agg = MaskedAggregator::Create(BasicOptions(n, 3));
@@ -177,14 +152,9 @@ TEST(StreamingAggregatorTest, MaskedDropoutRecoveryMatchesUnmaskSum) {
           survivors.push_back(i);
         }
       }
-      std::vector<std::vector<uint64_t>> masked;
-      for (int i : survivors) {
-        auto mi = (*agg)->MaskInput(i, inputs[static_cast<size_t>(i)], m);
-        ASSERT_TRUE(mi.ok());
-        masked.push_back(std::move(*mi));
-      }
-      auto reference = (*agg)->UnmaskSum(masked, survivors, dim, m);
-      ASSERT_TRUE(reference.ok());
+      auto masked = MaskAll(**agg, survivors, inputs, m);
+      ASSERT_TRUE(masked.ok());
+      const auto expected = PlainSum(inputs, survivors, m);
       for (int threads : ThreadCounts()) {
         ThreadPool pool(threads);
         auto stream = (*agg)->Open(dim, m, &pool);
@@ -193,11 +163,11 @@ TEST(StreamingAggregatorTest, MaskedDropoutRecoveryMatchesUnmaskSum) {
         // simply never show up, and Finalize treats them as dropped.
         for (size_t p : ShuffledOrder(survivors.size(), m ^ threads)) {
           ASSERT_TRUE(
-              (*stream)->Absorb(survivors[p], masked[p]).ok());
+              (*stream)->Absorb(survivors[p], (*masked)[p]).ok());
         }
         auto streamed = (*stream)->Finalize();
         ASSERT_TRUE(streamed.ok());
-        EXPECT_EQ(*streamed, *reference)
+        EXPECT_EQ(*streamed, expected)
             << "m=" << m << " threads=" << threads << " dropped="
             << dropped.size();
       }
@@ -239,14 +209,7 @@ TEST(StreamingAggregatorTest, MaskedRejectedTileLeavesStreamUntouched) {
   auto agg = MaskedAggregator::Create(BasicOptions(n, 2));
   ASSERT_TRUE(agg.ok());
   const auto inputs = RandomInputs(n, dim, m, 27);
-  std::vector<std::vector<uint64_t>> masked;
-  for (int i = 0; i < n; ++i) {
-    auto mi = (*agg)->MaskInput(i, inputs[static_cast<size_t>(i)], m);
-    ASSERT_TRUE(mi.ok());
-    masked.push_back(std::move(*mi));
-  }
-  auto batch = (*agg)->Aggregate(inputs, m);
-  ASSERT_TRUE(batch.ok());
+  const auto masked = MaskAll(**agg, AllIds(n), inputs, m).value();
 
   auto stream = (*agg)->Open(dim, m);
   ASSERT_TRUE(stream.ok());
@@ -265,7 +228,7 @@ TEST(StreamingAggregatorTest, MaskedRejectedTileLeavesStreamUntouched) {
                   .ok());
   auto sum = (*stream)->Finalize();
   ASSERT_TRUE(sum.ok());
-  EXPECT_EQ(*sum, *batch);
+  EXPECT_EQ(*sum, PlainSum(inputs, m));
 }
 
 TEST(StreamingAggregatorTest, StreamLifecycleErrors) {
@@ -279,8 +242,7 @@ TEST(StreamingAggregatorTest, StreamLifecycleErrors) {
 
   auto stream = agg.Open(dim, m);
   ASSERT_TRUE(stream.ok());
-  // Finalizing with nothing absorbed fails (the batch path rejects empty
-  // input lists the same way).
+  // Finalizing with nothing absorbed fails.
   EXPECT_FALSE((*stream)->Finalize().ok());
 
   stream = agg.Open(dim, m);
@@ -298,8 +260,7 @@ TEST(StreamingAggregatorTest, IdealStreamReducesUnreducedEntries) {
   const uint64_t m = 1000;
   auto stream = agg.Open(2, m);
   ASSERT_TRUE(stream.ok());
-  // Entries at and above m are reduced once before accumulation, matching
-  // the batch path's tolerance for unreduced inputs.
+  // Entries at and above m are reduced once before accumulation.
   const std::vector<uint64_t> first = {m + 1, 999};
   const std::vector<uint64_t> second = {2 * m + 5, 2};
   ASSERT_TRUE((*stream)->Absorb(0, first).ok());
@@ -307,35 +268,6 @@ TEST(StreamingAggregatorTest, IdealStreamReducesUnreducedEntries) {
   auto sum = (*stream)->Finalize();
   ASSERT_TRUE(sum.ok());
   EXPECT_EQ(*sum, (std::vector<uint64_t>{6, 1}));
-}
-
-/// A minimal aggregator that only implements the batch interface, to cover
-/// the default buffering Open adapter.
-class BatchOnlyAggregator final : public SecureAggregator {
- public:
-  StatusOr<std::vector<uint64_t>> Aggregate(
-      const std::vector<std::vector<uint64_t>>& inputs, uint64_t m) override {
-    IdealAggregator ideal;
-    return ideal.Aggregate(inputs, m);
-  }
-};
-
-TEST(StreamingAggregatorTest, DefaultOpenBuffersAndDelegates) {
-  BatchOnlyAggregator agg;
-  const size_t dim = 16;
-  const uint64_t m = kLargePrime;
-  const auto inputs = RandomInputs(6, dim, m, 44);
-  IdealAggregator reference;
-  auto batch = reference.Aggregate(inputs, m);
-  ASSERT_TRUE(batch.ok());
-  auto stream = agg.Open(dim, m);
-  ASSERT_TRUE(stream.ok());
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    ASSERT_TRUE((*stream)->Absorb(static_cast<int>(i), inputs[i]).ok());
-  }
-  auto streamed = (*stream)->Finalize();
-  ASSERT_TRUE(streamed.ok());
-  EXPECT_EQ(*streamed, *batch);
 }
 
 }  // namespace

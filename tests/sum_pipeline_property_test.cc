@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "aggregation_test_util.h"
 #include "common/random.h"
 #include "data/synthetic.h"
 #include "mechanisms/baseline_mechanisms.h"
@@ -152,10 +153,10 @@ TEST(SumPipelineFailureInjection, EmptyInputsRejected) {
 }
 
 TEST(SumPipelineDeterminism, SessionPathMatchesBatchPathAtEveryThreadCount) {
-  // The wire path RunDistributedSum now runs (tile-encode -> mask -> frame
-  // -> session -> stream) must be bit-identical to the former
-  // batch-materializing pipeline (encode everything, AggregateParallel,
-  // decode) at thread counts {1, 2, 8}, for both aggregators.
+  // The wire path RunDistributedSum runs (tile-encode -> mask -> frame ->
+  // session -> stream) must be bit-identical to a batch-materializing
+  // reference (encode everything, plain AddMod sum, decode) at thread
+  // counts {1, 2, 8}, for both aggregators.
   SmmMechanism::Options o;
   o.dim = 128;
   o.gamma = 16.0;
@@ -168,14 +169,14 @@ TEST(SumPipelineDeterminism, SessionPathMatchesBatchPathAtEveryThreadCount) {
   // More inputs than one session tile per thread count, so tiling kicks in.
   const auto inputs = data::SampleSphereDataset(100, 128, 1.0, data_rng);
 
-  // The batch path, composed by hand exactly as RunDistributedSum used to.
-  auto run_batch = [&](secagg::SecureAggregator& agg) {
+  // The reference, composed by hand: no aggregator, no framing.
+  auto run_batch = [&]() {
     auto mech = SmmMechanism::Create(o).value();
     RandomGenerator rng(42);
     std::vector<RandomGenerator> streams =
         MakeParticipantStreams(rng, inputs.size());
     auto encoded = EncodeBatchParallel(*mech, inputs, streams).value();
-    auto zm_sum = agg.Aggregate(encoded, mech->modulus()).value();
+    const auto zm_sum = secagg::test_util::PlainSum(encoded, mech->modulus());
     return mech->DecodeSum(zm_sum, static_cast<int>(inputs.size())).value();
   };
   auto run_session = [&](secagg::SecureAggregator& agg, int threads) {
@@ -186,7 +187,7 @@ TEST(SumPipelineDeterminism, SessionPathMatchesBatchPathAtEveryThreadCount) {
   };
 
   secagg::IdealAggregator ideal;
-  const std::vector<double> batch = run_batch(ideal);
+  const std::vector<double> batch = run_batch();
   for (int threads : {1, 2, 8}) {
     EXPECT_EQ(run_session(ideal, threads), batch) << threads << " threads";
   }

@@ -251,57 +251,6 @@ TEST(FederatedTrainerTest, TrainingIsThreadCountInvariant) {
   }
 }
 
-TEST(FederatedTrainerTest, TrainingIsShardCountInvariant) {
-  // The dimension-sharded aggregation path (config.shard_count > 1: K
-  // per-shard streams stitched by MergePartialSums) must reproduce the
-  // unsharded run bit for bit, at one and several threads.
-  auto task = SmallTask();
-  FlConfig base = FastConfig(MechanismKind::kSmm);
-  base.rounds = 10;
-  base.eval_every = 5;
-  base.shard_count = 1;
-  base.num_threads = 1;
-  auto reference =
-      FederatedTrainer::Create(SmallModel(), task.train, task.test, base);
-  ASSERT_TRUE(reference.ok());
-  auto reference_result = (*reference)->Train();
-  ASSERT_TRUE(reference_result.ok());
-
-  for (int shards : {2, 3}) {
-    for (int threads : {1, 2}) {
-      FlConfig c = base;
-      c.shard_count = shards;
-      c.num_threads = threads;
-      auto trainer =
-          FederatedTrainer::Create(SmallModel(), task.train, task.test, c);
-      ASSERT_TRUE(trainer.ok()) << shards << " shards";
-      auto result = (*trainer)->Train();
-      ASSERT_TRUE(result.ok()) << shards << " shards";
-      ASSERT_EQ(result->history.size(), reference_result->history.size());
-      for (size_t i = 0; i < result->history.size(); ++i) {
-        EXPECT_EQ(result->history[i].train_loss,
-                  reference_result->history[i].train_loss)
-            << shards << " shards, " << threads << " threads, record " << i;
-      }
-      const auto& ref_params = (*reference)->model().parameters();
-      const auto& params = (*trainer)->model().parameters();
-      ASSERT_EQ(params.size(), ref_params.size());
-      for (size_t j = 0; j < params.size(); ++j) {
-        EXPECT_EQ(params[j], ref_params[j])
-            << shards << " shards, parameter " << j;
-      }
-    }
-  }
-  // shard_count is validated against the padded model dimension.
-  FlConfig bad = base;
-  bad.shard_count = -1;
-  EXPECT_FALSE(
-      FederatedTrainer::Create(SmallModel(), task.train, task.test, bad).ok());
-  bad.shard_count = 1 << 20;
-  EXPECT_FALSE(
-      FederatedTrainer::Create(SmallModel(), task.train, task.test, bad).ok());
-}
-
 TEST(FederatedTrainerTest, FailedRoundsAreSkippedWithinTheFailureBudget) {
   auto task = SmallTask();
   FlConfig c = FastConfig(MechanismKind::kNonPrivate);

@@ -33,7 +33,6 @@ TEST_F(TuningTest, JsonRoundTrip) {
   RuntimeTuning tuning;
   tuning.tile_rows_per_thread = 48;
   tuning.threads_per_session = 6;
-  tuning.shard_count = 4;
   tuning.simd_crossover = {{"add_mod", 512}, {"wht_butterfly", 0}};
 
   const std::string json = RuntimeTuningToJson(tuning);
@@ -41,7 +40,6 @@ TEST_F(TuningTest, JsonRoundTrip) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->tile_rows_per_thread, 48u);
   EXPECT_EQ(parsed->threads_per_session, 6);
-  EXPECT_EQ(parsed->shard_count, 4u);
   ASSERT_EQ(parsed->simd_crossover.size(), 2u);
   EXPECT_EQ(parsed->simd_crossover[0].first, "add_mod");
   EXPECT_EQ(parsed->simd_crossover[0].second, 512u);
@@ -71,9 +69,7 @@ TEST_F(TuningTest, ParseRejectsMalformedInput) {
       "{\"schema_version\": 1, \"tile_rows_per_thread\": 1.5}", // Float.
       "{\"schema_version\": 1, \"threads_per_session\": -1}",   // Domain.
       "{\"schema_version\": 1, \"threads_per_session\": 5000}", // Domain.
-      "{\"schema_version\": 1, \"shard_count\": 0}",            // Domain.
-      "{\"schema_version\": 1, \"shard_count\": 5000}",         // Domain.
-      "{\"schema_version\": 1, \"shard_count\": 2.5}",          // Float.
+      "{\"schema_version\": 1, \"shard_count\": 4}",  // Unknown field.
       "{\"schema_version\": 1, \"simd_crossover\": 3}",  // Not an object.
       "{\"schema_version\": 1, \"simd_crossover\": {\"nope\": 1}}",
       "{\"schema_version\": 1, \"simd_crossover\": {\"add_mod\": -4}}",
@@ -94,20 +90,16 @@ TEST_F(TuningTest, DefaultsFallBackToDefaultTileRows) {
   }
   EXPECT_EQ(TunedTileRowsPerThread(), kTileRowsPerThread);
   EXPECT_EQ(TunedSessionThreads(), ThreadPool::HardwareThreads());
-  // Uncalibrated shard count resolves to 1: the unsharded path.
-  EXPECT_EQ(TunedShardCount(), 1u);
 }
 
 TEST_F(TuningTest, SetRuntimeTuningInstallsAndResets) {
   RuntimeTuning tuning;
   tuning.tile_rows_per_thread = 7;
   tuning.threads_per_session = 3;
-  tuning.shard_count = 8;
   tuning.simd_crossover = {{"add_mod", 1024}};
   SetRuntimeTuning(tuning);
   EXPECT_EQ(TunedTileRows(2), 14u);
   EXPECT_EQ(TunedSessionThreads(), 3);
-  EXPECT_EQ(TunedShardCount(), 8u);
   EXPECT_EQ(simd::DispatchCrossover(simd::KernelId::kAddMod), 1024u);
   // Below the crossover the scalar table serves the call; above it the
   // active table does. Either way the result is bit-identical, so the
@@ -117,7 +109,6 @@ TEST_F(TuningTest, SetRuntimeTuningInstallsAndResets) {
   ResetRuntimeTuningForTest();
   EXPECT_EQ(TunedTileRows(2), DefaultTileRows(2));
   EXPECT_EQ(simd::DispatchCrossover(simd::KernelId::kAddMod), 0u);
-  EXPECT_EQ(TunedShardCount(), 1u);
 }
 
 TEST_F(TuningTest, LoadFromMissingFileReturnsNotFound) {
